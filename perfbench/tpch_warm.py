@@ -98,10 +98,9 @@ def timed_pass(session: Any, queries: List[Any]) -> float:
     return time.perf_counter() - started
 
 
-def check_answers(
-    database: Any, queries: List[Any], results: List[Tuple[str, Any]], corrupt: bool
-) -> Dict[str, Any]:
-    """Compare every timed answer with the rdbms engine's answer."""
+def check_answers(database: Any, queries: List[Any], results: List[Tuple[str, Any]], corrupt: bool) -> Any:
+    """Compare every timed answer with the rdbms engine's answer; returns
+    the rdbms session."""
     rdbms = database.connect("rdbms")
     reference: Dict[str, Any] = {}
     for query in queries:
@@ -118,7 +117,7 @@ def check_answers(
             actual = actual[1:] if actual else [tuple(range(len(columns)))]
         check(sorted(result.columns) == columns, f"{name}: columns {result.columns} != {columns}")
         check(rows_match(actual, expected), f"{name}: answer differs from the rdbms answer")
-    return {"rdbms": rdbms}
+    return rdbms
 
 
 def measure(seed: int, seconds: float, tiny: bool, corrupt: bool, tracer: Optional[Tracer]) -> Dict[str, Any]:
@@ -138,7 +137,7 @@ def measure(seed: int, seconds: float, tiny: bool, corrupt: bool, tracer: Option
         tracer.uninstall()
     cache_after = database.cache_stats()
     rss = peak_rss_mb()
-    checked = check_answers(database, queries, run["results"], corrupt)
+    rdbms = check_answers(database, queries, run["results"], corrupt)
 
     p50, tail, pct = latency_summary(run["latencies"])
     pass_median = median(run["pass_seconds"])
@@ -173,7 +172,7 @@ def measure(seed: int, seconds: float, tiny: bool, corrupt: bool, tracer: Option
         )
     )
     graph = database.tag_graph()
-    rdbms_pass = timed_pass(checked["rdbms"], queries)
+    rdbms_pass = timed_pass(rdbms, queries)
     vectorized = database.connect("tag_vectorized")
     timed_pass(vectorized, queries)  # warm-up
     layer.update(
@@ -186,5 +185,4 @@ def measure(seed: int, seconds: float, tiny: bool, corrupt: bool, tracer: Option
         }
     )
     outcome["layer"] = layer
-    outcome["tracer"] = tracer
     return outcome
