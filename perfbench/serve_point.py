@@ -456,6 +456,9 @@ def serve_layers(
             "serve.rejected": grew("server", "rejected_queue_full") + grew("server", "rejected_overloaded"),
             "serve.timeouts": grew("server", "timeouts"),
             "serve.generator_lag_p99_ms": percentile(lags, 99.0) * 1000.0,
+            "tag.vertices": float(report["graph"][0]),
+            "tag.edges": float(report["graph"][1]),
+            "relational.dead_row_frac": report["dead_row_frac"],
             "workload.write_p50_ms": write_p50,
             "workload.write_tail_ms": write_tail,
             "workload.write_rows_per_s": safe_ratio(

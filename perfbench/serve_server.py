@@ -27,6 +27,7 @@ sys.path.insert(0, HERE)
 sys.path.insert(0, os.path.join(os.path.dirname(HERE), "src"))
 
 from common import peak_rss_mb  # noqa: E402
+from layers import dead_row_fraction  # noqa: E402
 from tracing import Tracer, install_layer_spans  # noqa: E402
 
 
@@ -73,8 +74,13 @@ async def serve(args: argparse.Namespace, tracer: Optional[Tracer]) -> None:
 
     threading.Thread(target=control, name="perfbench-control", daemon=True).start()
     await stopped.wait()
+    graph = database.tag_graph()
+    report: dict = {
+        "graph": [graph.vertex_count, graph.edge_count],
+        "dead_row_frac": dead_row_fraction(database.catalog),
+    }
     await server.stop()
-    report: dict = {"peak_rss_mb": peak_rss_mb()}
+    report["peak_rss_mb"] = peak_rss_mb()
     if tracer is not None:
         tracer.uninstall()
         if len(marks) >= 2:
