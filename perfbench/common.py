@@ -2,18 +2,34 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import os
 import resource
 import sys
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 #: root of the checkout the benchmark runs in (the parent of perfbench/)
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 #: where runs keep their scratch data and trace files (git-ignored)
 WORK_DIR = os.path.join(ROOT, ".perfbench-work")
+
+#: set-ups per run; ``setup_s`` is their median.  The in-process workloads
+#: build the set-up that serves the run first and the others after the
+#: timed window: a set-up takes 0.5-2 s, and the host's speed changes over
+#: seconds, so set-ups tens of seconds apart sample it more evenly than
+#: back-to-back ones (on a 2-core x86-64 VM, ingest-churn's median of three
+#: back-to-back set-ups moved 18% between two ten-seed sets).
+SETUP_REPS = 3
+
+#: seed of the generated TPC-H rows, the generator's own default.  The rows
+#: are fixed for a scale, as TPC-H's dbgen makes them; ``--seed`` decides
+#: the operation stream instead.  At mini scale the rows of different seeds
+#: differ in query cost by a quarter (a tpch-warm pass took 3.7 s on one
+#: seed's rows and 4.7 s on another's), which would hide a change that size.
+DATA_SEED = 7
 
 #: percentiles a tail metric may report, highest first
 TAIL_PERCENTILES = (99.9, 99.0, 95.0, 90.0, 75.0, 50.0)
@@ -26,6 +42,23 @@ class AnswerMismatch(AssertionError):
 def load_spec() -> Dict[str, Any]:
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as handle:
         return json.load(handle)
+
+
+def later_setups(setup_once: Callable[[], Tuple[Any, float]]) -> List[float]:
+    """Time the ``SETUP_REPS - 1`` set-ups that follow the timed window.
+
+    ``setup_once`` builds one database and returns it with its set-up
+    seconds; each is closed and dropped before the next is built, so
+    memory holds one at a time.
+    """
+    times: List[float] = []
+    for _ in range(SETUP_REPS - 1):
+        database, seconds = setup_once()
+        database.close()
+        del database
+        gc.collect()
+        times.append(seconds)
+    return times
 
 
 def percentile(values: Sequence[float], pct: float) -> float:

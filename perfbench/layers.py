@@ -35,13 +35,12 @@ def span_metrics(
     setup: Dict[str, Any],
     reads: int,
     writes: int,
-    setup_reps: int,
 ) -> Dict[str, float]:
     """The span-derived metrics of one run.
 
-    ``window`` aggregates the timed window, ``setup`` the set-up phase
-    (``SpanSummary.as_dict`` shapes); ``reads``/``writes`` count the
-    operations of the window.
+    ``window`` aggregates the timed window, ``setup`` the one set-up that
+    serves the run (``SpanSummary.as_dict`` shapes); ``reads``/``writes``
+    count the operations of the window.
     """
     total = window["total"]
     calls = window["calls"]
@@ -88,8 +87,8 @@ def span_metrics(
         "bsp.run_ms": per_read(bsp_seconds),
         "bsp.run_share": safe_ratio(bsp_seconds, read_seconds),
         "storage.decode_ms": per_read(on_reads("storage.decode")),
-        "tag.encode_s": safe_ratio(setup["total"].get("tag.encode", 0.0), setup_reps),
-        "tag.statistics_s": safe_ratio(setup["total"].get("tag.statistics", 0.0), setup_reps),
+        "tag.encode_s": setup["total"].get("tag.encode", 0.0),
+        "tag.statistics_s": setup["total"].get("tag.statistics", 0.0),
         "incremental.delta_apply_ms": per_write(delta_apply),
         "incremental.view_refresh_ms": per_write(
             counters.get("maintenance.view_refresh_us", 0) / 1e6

@@ -72,7 +72,7 @@ def main() -> int:
             "serve-point": {
                 "scale": serve_point.SCALE,
                 "offered_rate_per_s": serve_point.RATE,
-                "saturation_per_s": "97, measured with serve_point.py --calibrate; the rate is a third of it",
+                "saturation_per_s": serve_point.SATURATION,
                 "latency_limit_ms": serve_point.LIMIT_S * 1000.0,
                 "requests": serve["info"]["requests"],
                 "tail_percentile": serve["info"]["tail_percentile"],
@@ -97,6 +97,9 @@ def main() -> int:
             },
             "serve-point": {
                 "parse_bind_share_of_server_read_time": serve["layer"]["sql.parse_bind_share"],
+                "parse_bind_ms_per_read": serve["layer"]["sql.parse_bind_ms"],
+                "wire_encode_ms_per_read": serve["layer"]["serve.wire_encode_ms"],
+                "bsp_run_ms_per_read": serve["layer"]["bsp.run_ms"],
                 "result_cache_hit_share": serve["layer"]["serve.result_cache_hit_ratio"],
                 "bsp_share_of_server_read_time": serve["layer"]["bsp.run_share"],
                 "outside_exec_ms": serve["layer"]["serve.outside_exec_ms"],
@@ -107,6 +110,10 @@ def main() -> int:
                 "recovery_s": churn["layer"]["workload.recovery_s"],
             },
         },
+        "tracing_overhead_note": (
+            "one traced run minus one untraced run of the same seed: at the noise level "
+            "of a single run, see the steadiness table in README.md"
+        ),
         "tracing_overhead": {
             name: {k: v for k, v in run["layer"].items() if k.startswith("overhead.")}
             for name, run in runs.items()

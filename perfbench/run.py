@@ -2,7 +2,7 @@
 
 Usage, from the root of a checkout::
 
-    python3 perfbench/run.py --workload tpch-warm --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload tpch-warm --seed 1 --seconds 25 --trace 0
 
 ``--trace 0`` measures the end-to-end metrics of ``BENCHMARK.json`` with
 no tracing installed.  ``--trace 1`` runs the workload twice, untraced
@@ -15,7 +15,8 @@ Every metric is printed by name and unit, and the last line of standard
 output is the JSON result.  A failed answer check prints the result with
 ``"correct": false`` and exits 1.  ``--tiny`` (small inputs) and
 ``--corrupt`` (tamper with one answer before it is checked) exist for
-the benchmark's self-tests.
+the benchmark's self-tests.  A traced run whose entry points the program
+no longer has exits 3 without a result.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(HERE), "src"))
 
 import common  # noqa: E402
 from common import AnswerMismatch, WORK_DIR, emit, load_spec, log, safe_ratio  # noqa: E402
+from tracing import MissingEntryPoint  # noqa: E402
 
 WORKLOADS = ("tpch-warm", "serve-point", "ingest-churn")
 
@@ -77,10 +79,10 @@ def traced_run(module: Any, args: argparse.Namespace, spec: Dict[str, Any]) -> D
     from layers import empty_metrics
     from tracing import Tracer, install_layer_spans
 
-    untraced = untraced_run(args)
     tracer = Tracer()
-    install_layer_spans(tracer)
     try:
+        install_layer_spans(tracer)  # first, so a missing entry point fails fast
+        untraced = untraced_run(args)
         traced = module.measure(args.seed, args.seconds, args.tiny, args.corrupt, tracer)
     finally:
         tracer.uninstall()
@@ -91,8 +93,6 @@ def traced_run(module: Any, args: argparse.Namespace, spec: Dict[str, Any]) -> D
         layer[f"overhead.{name}"] = value - untraced["end_to_end"][name]
     if tracer.spans:  # serve-point's spans are recorded in the server process
         tracer.dump(os.path.join(WORK_DIR, f"trace-{args.workload}-{args.seed}.json"))
-    if tracer.missing:
-        log(f"not traced (entry point missing): {', '.join(tracer.missing)}")
     return {
         "metrics": layer,
         "attempted": untraced["attempted"] + traced["attempted"],
@@ -121,6 +121,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                 "failed": measured["failed"],
                 "info": measured["info"],
             }
+    except MissingEntryPoint as exc:
+        log(f"cannot trace: entry point {exc} is missing")
+        return 3
     except AnswerMismatch as exc:
         log(f"answer check failed: {exc}")
         metrics = {entry["name"]: 0.0 for entry in spec["per_layer" if args.trace else "end_to_end"]}

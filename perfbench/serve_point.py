@@ -7,12 +7,13 @@ connections at one fixed offered rate, each request due at a fixed time
 and timed from when it was due, so a stall also counts against the
 requests queued behind it.
 
-The mix: 70% server-side prepared point lookups (order to
-lineitems and customer to orders, by key), 22% selective two-table
+The mix: 70% server-side prepared point lookups (20% order to
+lineitems, 50% customer to orders, by key), 22% selective two-table
 SELECTs sent as SQL text, and 8% writes, deletes and updates, in
-seed-shuffled blocks of 50 requests.  The
-writes touch only keys at or above ``KEY_ZONE``, so the answers of the
-lookups over the generated keys never change.  Keys are drawn over about
+seed-shuffled blocks of 50 requests.  The writes touch only keys at or
+above ``KEY_ZONE``, so the answers of the lookups over the generated keys
+never change.  The generated rows are fixed (``DATA_SEED``); the seed
+decides the keys, the order and the writes.  Keys are drawn over about
 3.3k values, far more than the server's 256-entry result cache.
 
 Checks, after the window: every frame passes ``validate_response_frame``,
@@ -39,6 +40,7 @@ from typing import Any, Dict, List, Optional, Tuple
 HERE = os.path.dirname(os.path.abspath(__file__))
 
 from common import (  # noqa: E402
+    DATA_SEED,
     ROOT,
     WORK_DIR,
     check,
@@ -52,11 +54,13 @@ from tracing import Tracer  # noqa: E402
 
 SCALE = 1.0
 TINY_SCALE = 0.05
-SETUP_REPS = 3
-#: offered requests per second: one third of the saturation throughput of
-#: this mix (97 requests/s with ``--calibrate`` on a 2-core machine).  At
-#: half (48/s) the queue amplified the machine's own speed drift so much
-#: that the tail latency spread 22-33% between seeds; at a third it is 4%.
+#: closed-loop saturation of this mix with ``--calibrate`` (requests/s,
+#: 2-core x86-64 VM, Python 3.11), a reference for ``RATE``
+SATURATION = 122.0
+#: offered requests per second.  A request of this mix takes about 10 ms
+#: of server work under one interpreter lock, so 32/s keeps the server about
+#: a third busy; at 48/s two of five seeds overloaded during slower spells
+#: of the machine.
 RATE = 32.0
 TINY_REQUESTS = 60
 #: per-request latency limit for goodput
@@ -80,8 +84,8 @@ TEXT = (
 #: request kinds per block of 50; each block is shuffled by the seed, so
 #: the mix is exact on every seed and only the order and keys vary
 MIX = {
-    "order_lines": 18,
-    "customer_orders": 17,
+    "order_lines": 10,
+    "customer_orders": 25,
     "text": 11,
     "load": 2,
     "delete": 1,
@@ -159,10 +163,10 @@ def make_requests(seed: int, catalog: Any, count: int) -> List[Dict[str, Any]]:
 class ServerProcess:
     """The server child process and its line-based control channel."""
 
-    def __init__(self, seed: int, scale: float, trace: bool, trace_out: Optional[str]) -> None:
+    def __init__(self, scale: float, trace: bool, trace_out: Optional[str]) -> None:
         command = [
             sys.executable, os.path.join(HERE, "serve_server.py"),
-            "--seed", str(seed), "--scale", str(scale), "--reps", str(SETUP_REPS),
+            "--scale", str(scale),
             "--trace", "1" if trace else "0",
         ]
         if trace_out:
@@ -348,9 +352,9 @@ def measure(seed: int, seconds: float, tiny: bool, corrupt: bool, tracer: Option
     scale = TINY_SCALE if tiny else SCALE
     count = TINY_REQUESTS if tiny else int(RATE * seconds)
     trace_out = os.path.join(WORK_DIR, f"trace-serve-point-{seed}-server.json") if tracer else None
-    server = ServerProcess(seed, scale, tracer is not None, trace_out)
+    server = ServerProcess(scale, tracer is not None, trace_out)
     try:
-        catalog = generate_tpch(scale=scale, seed=seed)
+        catalog = generate_tpch(scale=scale, seed=DATA_SEED)
         requests = make_requests(seed, catalog, count)
         expected = expected_answers(catalog)
         run = asyncio.run(run_clients(server, catalog, requests, RATE, tracer is not None))
@@ -392,8 +396,6 @@ def measure(seed: int, seconds: float, tiny: bool, corrupt: bool, tracer: Option
         return outcome
     outcome["layer"] = serve_layers(report, run, requests, records, len(reads), len(writes), write_latency, failed)
     outcome["layer"]["workload.goodput_qps"] = outcome["end_to_end"]["ops_per_s"]
-    if report.get("missing"):
-        tracer.missing.extend(report["missing"])
     return outcome
 
 
@@ -410,7 +412,7 @@ def serve_layers(
     from repro.core.wire import decode_result_payload
 
     window = report["window"]
-    layer = span_metrics(window, report["setup"], reads, writes, SETUP_REPS)
+    layer = span_metrics(window, report["setup"], reads, writes)
     before, after = run["stats_before"], run["stats_after"]
 
     def grew(section: str, field: str) -> float:
@@ -509,9 +511,9 @@ def calibrate(seed: int = 1, count: int = 1200, outstanding: int = 16) -> float:
     """
     from repro.workloads import generate_tpch
 
-    server = ServerProcess(seed, SCALE, False, None)
+    server = ServerProcess(SCALE, False, None)
     try:
-        catalog = generate_tpch(scale=SCALE, seed=seed)
+        catalog = generate_tpch(scale=SCALE, seed=DATA_SEED)
         requests = make_requests(seed, catalog, count)
         throughput = asyncio.run(_saturate(server.ready["port"], catalog, requests, outstanding))
         server.finish()

@@ -1,8 +1,9 @@
 """The serve-point server process: one memory-only TPC-H tenant behind a QueryServer.
 
 Started by :mod:`serve_point` as ``python3 perfbench/serve_server.py``.
-It builds the tenant ``--reps`` times (catalog in hand to listening) and
-prints one JSON line with the port and the set-up times.  Then it reads
+It builds the tenant ``SETUP_REPS`` times back to back (catalog in hand to
+listening; the spans of the last build, which serves, are the set-up's)
+and prints one JSON line with the port and the set-up times.  Then it reads
 control lines on standard input: ``mark`` records a position in the span
 log and answers ``marked``; end of input stops the server, and the
 process prints one JSON report line (peak RSS and, when traced, the span
@@ -26,7 +27,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, HERE)
 sys.path.insert(0, os.path.join(os.path.dirname(HERE), "src"))
 
-from common import peak_rss_mb  # noqa: E402
+from common import DATA_SEED, SETUP_REPS, peak_rss_mb  # noqa: E402
 from layers import dead_row_fraction  # noqa: E402
 from tracing import Tracer, install_layer_spans  # noqa: E402
 
@@ -41,14 +42,15 @@ async def serve(args: argparse.Namespace, tracer: Optional[Tracer]) -> None:
     from repro.serve import QueryServer, ServerConfig
     from repro.workloads import generate_tpch
 
-    setup_mark = tracer.mark() if tracer else None
     times: List[float] = []
-    server = None
-    for _ in range(args.reps):
-        if server is not None:
+    server = database = catalog = None
+    for _ in range(SETUP_REPS):
+        if server is not None:  # drop the last rep before building the next
             await server.stop()
-            server = None
-        catalog = generate_tpch(scale=args.scale, seed=args.seed)
+            server = database = catalog = None
+            gc.collect()
+        setup_mark = tracer.mark() if tracer else None  # spans of the rep that serves
+        catalog = generate_tpch(scale=args.scale, seed=DATA_SEED)
         gc.collect()
         started = time.perf_counter()
         database = Database.from_catalog(catalog)
@@ -86,7 +88,6 @@ async def serve(args: argparse.Namespace, tracer: Optional[Tracer]) -> None:
         if len(marks) >= 2:
             report["window"] = tracer.summary(marks[0], marks[1]).as_dict()
         report["setup"] = tracer.summary(setup_mark, setup_end).as_dict()
-        report["missing"] = tracer.missing
         if args.trace_out:
             tracer.dump(args.trace_out)
     say(report)
@@ -94,9 +95,7 @@ async def serve(args: argparse.Namespace, tracer: Optional[Tracer]) -> None:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
-    parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--scale", type=float, required=True)
-    parser.add_argument("--reps", type=int, default=3)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--trace-out", default=None)
     args = parser.parse_args()

@@ -98,6 +98,25 @@ def test_corrupted_answer_fails_the_check(workload):
     assert "answer check failed" in completed.stderr
 
 
+def test_missing_entry_point_fails_the_traced_run(monkeypatch, capsys):
+    import repro.sql
+    import run
+    import tracing
+
+    install = tracing.install_layer_spans
+
+    def install_with_a_renamed_function(tracer):
+        install(tracer)
+        tracer.wrap(repro.sql, "parse_and_bind_renamed", "sql.parse_and_bind")
+
+    monkeypatch.setattr(tracing, "install_layer_spans", install_with_a_renamed_function)
+    original = repro.sql.parse_and_bind
+    code = run.main(["--workload", "tpch-warm", "--seed", "3", "--seconds", "2", "--trace", "1", "--tiny"])
+    assert code != 0
+    assert '"correct"' not in capsys.readouterr().out
+    assert repro.sql.parse_and_bind is original  # every wrapper was taken off again
+
+
 def test_bare_directory_fails_without_a_result(tmp_path):
     shutil.copy(os.path.join(ROOT, "BENCHMARK.json"), tmp_path / "BENCHMARK.json")
     shutil.copytree(PERFBENCH, tmp_path / "perfbench", ignore=shutil.ignore_patterns("__pycache__"))
@@ -109,14 +128,15 @@ def test_bare_directory_fails_without_a_result(tmp_path):
 def test_seed_decides_the_inputs():
     import ingest_churn
     import serve_point
-    from repro.workloads import generate_tpch
+    import tpch_warm
+    from common import DATA_SEED
+    from repro.workloads import generate_tpch, tpch_queries
 
-    def orders(seed):
-        return [tuple(row) for row in generate_tpch(scale=0.05, seed=seed).relation("ORDERS").rows]
-
-    assert orders(1) == orders(1)
-    assert orders(1) != orders(2)
-    catalog = generate_tpch(scale=0.05, seed=1)
+    catalog = generate_tpch(scale=0.05, seed=DATA_SEED)
+    queries = tpch_queries()
+    tpch = lambda seed: [[q.name for q in p] for p in tpch_warm.pass_orders(seed, queries, 3)]  # noqa: E731
+    assert tpch(1) == tpch(1)
+    assert tpch(1) != tpch(2)
     churn = lambda seed: ingest_churn.make_ops(seed, catalog, 40)  # noqa: E731
     assert churn(1) == churn(1)
     assert churn(1) != churn(2)

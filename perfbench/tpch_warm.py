@@ -2,21 +2,26 @@
 
 One client runs a warm-up pass (it fills the plan cache) and then a fixed
 number of timed passes over the 22 query analogues at mini scale 1.0 on
-the default engine.  The BSP kernel does nearly all the work; parse+bind
-is about a millisecond per query.  Every answer is checked against the
-``rdbms`` engine's answer, computed once per run outside the timed window.
+the default engine.  The rows are fixed (``DATA_SEED``); the seed decides
+the order of the queries in each timed pass.  The BSP kernel does nearly
+all the work; parse+bind is about a millisecond per query.  Every answer
+is checked against the ``rdbms`` engine's answer, computed once per run
+outside the timed window.
 """
 
 from __future__ import annotations
 
 import gc
+import random
 import time
 from statistics import median
 from typing import Any, Dict, List, Optional, Tuple
 
 from common import (
+    DATA_SEED,
     check,
     latency_summary,
+    later_setups,
     peak_rss_mb,
     rows_match,
 )
@@ -25,10 +30,9 @@ from tracing import Tracer
 
 SCALE = 1.0
 TINY_SCALE = 0.05
-SETUP_REPS = 3
-#: seconds one pass takes at scale 1.0 on the reference machine; sizes the
-#: fixed pass count so a run lasts about ``--seconds``
-PASS_SECONDS = 3.0
+#: measured seconds per pass at scale 1.0 (median ``workload.pass_s`` on a
+#: 2-core x86-64 VM, Python 3.11); sizes the pass count from ``--seconds``
+PASS_SECONDS = 4.2
 
 
 def pass_count(seconds: float, tiny: bool) -> int:
@@ -48,32 +52,31 @@ def build_database(catalog: Any, engine: Optional[str] = None) -> Any:
     return database
 
 
-def setup(seed: int, scale: float) -> Tuple[Any, Any, List[float]]:
-    """Build the database ``SETUP_REPS`` times; keep the last one."""
+def setup_once(scale: float) -> Tuple[Any, Any, float]:
+    """Generate the rows, then time one set-up of the database."""
     from repro.workloads import tpch_workload
 
-    times: List[float] = []
-    database = workload = None
-    for _ in range(SETUP_REPS):
-        if database is not None:
-            database.close()
-            database = None
-        workload = tpch_workload(scale=scale, seed=seed)
-        gc.collect()
-        started = time.perf_counter()
-        database = build_database(workload.catalog)
-        times.append(time.perf_counter() - started)
-    return database, workload, times
+    workload = tpch_workload(scale=scale, seed=DATA_SEED)
+    gc.collect()
+    started = time.perf_counter()
+    database = build_database(workload.catalog)
+    return database, workload, time.perf_counter() - started
 
 
-def run_passes(session: Any, queries: List[Any], passes: int, traced: bool) -> Dict[str, Any]:
+def pass_orders(seed: int, queries: List[Any], passes: int) -> List[List[Any]]:
+    """The queries of each timed pass, in an order drawn from the seed."""
+    rng = random.Random(seed * 6151 + 5)
+    return [rng.sample(queries, len(queries)) for _ in range(passes)]
+
+
+def run_passes(session: Any, orders: List[List[Any]], traced: bool) -> Dict[str, Any]:
     latencies: List[float] = []
     pass_seconds: List[float] = []
     results: List[Tuple[str, Any]] = []
     plan_choices: List[Any] = []
-    for _ in range(passes):
+    for order in orders:
         pass_started = time.perf_counter()
-        for query in queries:
+        for query in order:
             if traced:
                 session.engine.last_plan_choice = None
             started = time.perf_counter()
@@ -122,8 +125,19 @@ def check_answers(database: Any, queries: List[Any], results: List[Tuple[str, An
 
 def measure(seed: int, seconds: float, tiny: bool, corrupt: bool, tracer: Optional[Tracer]) -> Dict[str, Any]:
     scale = TINY_SCALE if tiny else SCALE
+    outcome = _measure(seed, seconds, tiny, corrupt, tracer, scale)
+    gc.collect()  # the measured database is gone with _measure's frame
+    setup_times = outcome["info"]["setup_seconds"]
+    setup_times += later_setups(lambda: setup_once(scale)[::2])  # (database, seconds)
+    outcome["end_to_end"]["setup_s"] = median(setup_times)
+    return outcome
+
+
+def _measure(
+    seed: int, seconds: float, tiny: bool, corrupt: bool, tracer: Optional[Tracer], scale: float
+) -> Dict[str, Any]:
     setup_mark = tracer.mark() if tracer else None
-    database, workload, setup_times = setup(seed, scale)
+    database, workload, first_setup = setup_once(scale)
     setup_end = tracer.mark() if tracer else None
     queries = list(workload.queries)
     session = database.connect()
@@ -131,7 +145,8 @@ def measure(seed: int, seconds: float, tiny: bool, corrupt: bool, tracer: Option
         session.sql(query.sql)
     cache_before = database.cache_stats()
     window_mark = tracer.mark() if tracer else None
-    run = run_passes(session, queries, pass_count(seconds, tiny), traced=tracer is not None)
+    orders = pass_orders(seed, queries, pass_count(seconds, tiny))
+    run = run_passes(session, orders, traced=tracer is not None)
     window_end = tracer.mark() if tracer else None
     if tracer is not None:
         tracer.uninstall()
@@ -143,7 +158,6 @@ def measure(seed: int, seconds: float, tiny: bool, corrupt: bool, tracer: Option
     pass_median = median(run["pass_seconds"])
     outcome: Dict[str, Any] = {
         "end_to_end": {
-            "setup_s": median(setup_times),
             "peak_rss_mb": rss,
             "query_p50_ms": p50,
             "query_tail_ms": tail,
@@ -156,16 +170,17 @@ def measure(seed: int, seconds: float, tiny: bool, corrupt: bool, tracer: Option
             "samples": len(run["latencies"]),
             "passes": len(run["pass_seconds"]),
             "pass_seconds": run["pass_seconds"],
-            "setup_seconds": setup_times,
+            "setup_seconds": [first_setup],
         },
     }
     if tracer is None:
+        database.close()
         return outcome
 
     reads = len(run["latencies"])
     window = tracer.summary(window_mark, window_end).as_dict()
     setup_agg = tracer.summary(setup_mark, setup_end).as_dict()
-    layer = span_metrics(window, setup_agg, reads, 0, SETUP_REPS)
+    layer = span_metrics(window, setup_agg, reads, 0)
     layer.update(
         result_metrics(
             [result for _name, result in run["results"]], run["plan_choices"], cache_before, cache_after
@@ -185,4 +200,5 @@ def measure(seed: int, seconds: float, tiny: bool, corrupt: bool, tracer: Option
         }
     )
     outcome["layer"] = layer
+    database.close()
     return outcome

@@ -4,8 +4,11 @@ The program itself carries no tracing yet, so the traced run wraps the
 calls into each layer from here: :func:`install_layer_spans` replaces a
 function or method with one that records a span — name, start, end,
 parent span and request id — around the original, and
-:meth:`Tracer.uninstall` puts every original back.  Spans stay in memory
-and :meth:`Tracer.dump` writes them out when the run ends.
+:meth:`Tracer.uninstall` puts every original back.  An entry point the
+program no longer has raises :class:`MissingEntryPoint`, so a renamed
+function fails the traced run instead of reading as a zero-cost layer.
+Spans stay in memory and :meth:`Tracer.dump` writes them out when the run
+ends.
 
 A span's parent is the innermost open span on the same thread; a root
 span starts a new request id that its descendants inherit.  A layer's
@@ -28,6 +31,18 @@ from common import percentile, tail_percentile
 Span = List[Any]
 
 
+class MissingEntryPoint(RuntimeError):
+    """A function or method the traced run wraps does not exist."""
+
+
+def _original(owner: Any, attr: str) -> Any:
+    """``owner.attr`` as defined on ``owner`` itself (a class's own method)."""
+    found = owner.__dict__.get(attr) if isinstance(owner, type) else getattr(owner, attr, None)
+    if found is None:
+        raise MissingEntryPoint(f"{owner.__name__}.{attr}")
+    return found
+
+
 class Tracer:
     """In-memory span recorder plus the monkey-patches that feed it."""
 
@@ -38,8 +53,6 @@ class Tracer:
         self._lock = threading.Lock()
         self._requests = 0
         self._patched: List[Tuple[Any, str, Any]] = []
-        #: entry points that were not found and therefore not traced
-        self.missing: List[str] = []
 
     # ------------------------------------------------------------------
     # recording
@@ -79,35 +92,21 @@ class Tracer:
     # patching
     # ------------------------------------------------------------------
     def wrap(self, owner: Any, attr: str, name: str) -> None:
-        """Record a span named ``name`` around every call of ``owner.attr``.
-
-        An entry point the program no longer has is listed in
-        :attr:`missing` instead of failing the run; its metrics read 0.
-        """
-        if not hasattr(owner, attr):
-            self.missing.append(f"{getattr(owner, '__name__', owner)}.{attr}")
-            return
-        original = owner.__dict__[attr] if isinstance(owner, type) else getattr(owner, attr)
-        if isinstance(original, property):
-            replacement: Any = property(self._wrapped(original.fget, name))
-        else:
-            replacement = self._wrapped(original, name)
-        setattr(owner, attr, replacement)
-        self._patched.append((owner, attr, original))
-
-    def _wrapped(self, function: Callable[..., Any], name: str) -> Callable[..., Any]:
+        """Record a span named ``name`` around every call of ``owner.attr``."""
+        original = _original(owner, attr)
         span = self.span
 
-        @functools.wraps(function)
+        @functools.wraps(original)
         def traced(*args: Any, **kwargs: Any) -> Any:
             with span(name):
-                return function(*args, **kwargs)
+                return original(*args, **kwargs)
 
-        return traced
+        setattr(owner, attr, traced)
+        self._patched.append((owner, attr, original))
 
     def wrap_counter(self, owner: Any, attr: str, name: str) -> None:
         """Count calls of ``owner.attr`` without recording spans."""
-        original = getattr(owner, attr)
+        original = _original(owner, attr)
         count = self.count
 
         @functools.wraps(original)
@@ -128,10 +127,7 @@ class Tracer:
     ) -> None:
         """Add ``after(args, result) - before(args)`` to counter ``name``
         on every call of ``owner.attr`` (bytes a call wrote to disk)."""
-        if not hasattr(owner, attr):
-            self.missing.append(f"{getattr(owner, '__name__', owner)}.{attr}")
-            return
-        original = getattr(owner, attr)
+        original = _original(owner, attr)
         count = self.count
 
         @functools.wraps(original)
