@@ -17,12 +17,15 @@ parameter values:
         hot.execute({"t": 500})                    # warm: plan-cache hit
         print(session.explain(hot.sql))            # rooted join tree + costs
 
-Data loads go through :meth:`Database.load_rows`, which applies the write
-as a *delta*: new tuple/attribute vertices are appended to the existing
-TAG encoding in place, statistics fold the new rows into their sketches,
-executors are patched through their ``apply_delta`` hook, and registered
-materialized views are maintained by seminaïve re-runs over only the new
-vertices.  Compiled plans survive every data-only write (their cache keys
+Row mutations — :meth:`Database.load_rows`, :meth:`~Database.delete_rows`
+and :meth:`~Database.update_rows` — each become one signed
+:class:`~repro.incremental.delta.Delta` on one path (log → apply → patch →
+views): deleted rows are tombstoned and their tuple vertices dropped, new
+tuple/attribute vertices are appended to the existing TAG encoding in
+place, statistics fold both halves, executors are patched once through
+their ``apply`` hook, and registered materialized views are maintained by
+counting delete terms and seminaïve re-runs over only the new vertices.
+Compiled plans survive every data-only write (their cache keys
 depend only on the schema version); only schema changes or an explicit
 out-of-band :meth:`Database.note_data_change` fall back to the old
 scorched-earth rebuild.  Writers serialize against in-flight readers on a
@@ -36,7 +39,7 @@ import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..algebra.expressions import Between, ColumnRef, Comparison, Expression, InList
 from ..algebra.logical import QuerySpec
@@ -50,6 +53,7 @@ from ..algebra.parameters import (
 )
 from ..core.executor import QueryResult, StaleEngineError
 from ..durability.failpoints import maybe_fire
+from ..incremental.delta import Delta, apply_graph_delete, apply_graph_delta
 from ..incremental.locks import ReadWriteLock
 from ..incremental.maintenance import MaintenanceCounters
 from ..planner import PlanCache
@@ -493,7 +497,7 @@ class Database:
             pool.join()
 
     # ------------------------------------------------------------------
-    # data changes
+    # data changes: every row mutation is one signed Delta
     # ------------------------------------------------------------------
     def load_rows(
         self,
@@ -506,12 +510,12 @@ class Database:
         This is the incremental write path: when the TAG graph, the
         statistics and the cached executors are current, the new rows are
         *applied as a delta* — appended to the graph encoding, folded into
-        the statistics sketches, indexed by each engine's ``apply_delta``
-        hook, and propagated into registered materialized views — instead
-        of invalidating everything.  Compiled plans are retained across
-        the write because their cache keys depend only on the schema
-        version.  An empty iterable is a complete no-op: no version bump,
-        no cache activity, no engine churn.
+        the statistics sketches, indexed by each engine's ``apply`` hook,
+        and propagated into registered materialized views — instead of
+        invalidating everything.  Compiled plans are retained across the
+        write because their cache keys depend only on the schema version.
+        An empty iterable is a complete no-op: no version bump, no cache
+        activity, no engine churn.
 
         On a durable database (``data_dir=``) the delta is validated,
         written to the WAL and fsync'd *before* it applies, and
@@ -538,15 +542,7 @@ class Database:
         (``None`` on a memory-only database) and ``deduplicated`` is True
         when ``request_id`` was already applied — the retry contract: the
         serving layer acknowledges the *original* application instead of
-        applying twice.
-
-        Ordering on the durable path is log-then-apply: rows are
-        validated/coerced first (a record that cannot replay must never
-        be logged), framed + fsync'd into the WAL, and only then applied
-        to the catalog/graph/statistics/engines/views.  An acknowledged
-        write is therefore always recoverable, and an unacknowledged one
-        either never hit the WAL (the retry applies it once) or hit it
-        without the ack (recovery replays it and the retry dedups).
+        applying twice.  See :meth:`_commit` for the ordering guarantees.
         """
         relation = self.catalog.relation(relation_name)  # raise before locking
         materialized = list(rows)
@@ -554,154 +550,13 @@ class Database:
             with self._lock:
                 self.maintenance.empty_loads_ignored += 1
             return {"appended": 0, "deduplicated": False, "lsn": None}
-        with self._rw_lock.write_locked(), self._lock:
-            self._check_open()
-            durability = self._durability
-            if durability is None:
-                appended = self._apply_load_delta(relation, materialized)
-                return {"appended": appended, "deduplicated": False, "lsn": None}
-            already = durability.applied(request_id)
-            if already is not None:
-                return {
-                    "appended": 0,
-                    "deduplicated": True,
-                    "lsn": durability.wal.last_lsn,
-                    "first_applied": already,
-                }
-            validated = relation.validate_rows(materialized)
-            lsn = durability.log_load_rows(relation_name, validated, request_id)
-            appended = self._apply_load_delta(relation, validated, validated_rows=True)
-            durability.note_applied(request_id, appended)
-            durability.maybe_snapshot(self)
-            return {"appended": appended, "deduplicated": False, "lsn": lsn}
-
-    def _apply_load_delta(
-        self, relation: Any, rows: List[Sequence[Any]], validated_rows: bool = False
-    ) -> int:
-        """Append ``rows`` and patch graph/statistics/engines/views in place.
-
-        Caller holds the write lock and ``_lock``.  Freshness is checked
-        *before* the catalog version bumps: a resource already stale (from
-        an earlier out-of-band change) is left for its usual lazy rebuild
-        rather than patched on top of missing history.
-        """
-        started = time.perf_counter()
-        catalog = self.catalog
-        version_before = catalog.version
-        # physical, not live: tuple vertex indexes, index positions and
-        # rollback truncation all live in physical-position space, which
-        # tombstone deletes never compact
-        before = relation.physical_count
-        try:
-            return self._apply_load_delta_inner(
-                relation, rows, validated_rows, catalog, version_before, before, started
-            )
-        except BaseException:
-            # a failure mid-apply (fault injection, a bad row mid-extend,
-            # an engine hook blowing up) leaves partial state: rows in the
-            # relation but not the graph, some engines patched and others
-            # not.  Roll the relation back to its pre-write length and
-            # retire every derived structure so a retry of the same
-            # logical write applies exactly once against a clean rebuild.
-            relation.truncate(before)
-            catalog.note_data_change()
-            for engine in self._engines.values():
-                retire = getattr(engine, "retire", None)
-                if callable(retire):
-                    retire(f"write to {relation.name!r} rolled back mid-apply")
-            self._engines.clear()
-            self._engine_versions.clear()
-            self.maintenance.full_rebuilds += 1
-            self.maintenance.plans_retained = len(self.plan_cache)
-            for view in self._views.values():
-                self._rebuild_view(view)
-                self.maintenance.views_recomputed += 1
-            raise
-
-    def _apply_load_delta_inner(
-        self,
-        relation: Any,
-        rows: List[Sequence[Any]],
-        validated_rows: bool,
-        catalog: Any,
-        version_before: int,
-        before: int,
-        started: float,
-    ) -> int:
-        from ..incremental.delta import apply_graph_delta, rows_as_value_dicts
-        from ..relational.types import value_size_bytes
-
-        relation.extend(rows, validated=validated_rows)
-        coerced = relation.rows_since(before)
-        graph_fresh = self._graph is not None and self._graph_version == version_before
-        stats_fresh = (
-            self._statistics is not None
-            and self._statistics.catalog_version == version_before
+        return self._commit(
+            "load",
+            relation,
+            request_id,
+            lambda: {"inserted": relation.validate_rows(materialized)},
         )
-        catalog.note_data_change()
 
-        maybe_fire("delta.apply.before_graph_patch")
-        if graph_fresh:
-            apply_graph_delta(self._graph, relation.schema, coerced)
-            self._graph_version = catalog.version
-        if stats_fresh:
-            schema = relation.schema
-            added_bytes = sum(
-                value_size_bytes(value, column.dtype)
-                for row in coerced
-                for value, column in zip(row, schema.columns)
-            )
-            self._statistics.apply_delta(
-                catalog,
-                relation.name,
-                rows_as_value_dicts(schema, coerced),
-                added_bytes=added_bytes,
-            )
-
-        patched = dropped = 0
-        for name, engine in list(self._engines.items()):
-            hook = getattr(engine, "apply_delta", None)
-            engine_current = self._engine_versions.get(name) == version_before
-            # engines holding the shared graph (the TAG family) are only
-            # patchable when that graph was just patched too; catalog-backed
-            # engines (rdbms, spark) are graph-independent
-            graph_ok = graph_fresh or getattr(engine, "graph", None) is None
-            if callable(hook) and engine_current and graph_ok:
-                hook(relation.name, coerced, before, catalog.version)
-                self._engine_versions[name] = catalog.version
-                patched += 1
-            else:
-                # no hook (or the graph itself needs a rebuild): drop the
-                # executor for a lazy rebuild — but do NOT retire it, so a
-                # session mid-query drains against a consistent snapshot
-                self._engines.pop(name)
-                self._engine_versions.pop(name, None)
-                dropped += 1
-
-        counters = self.maintenance
-        counters.rows_applied += len(coerced)
-        if graph_fresh:
-            counters.deltas_applied += 1
-        else:
-            counters.full_rebuilds += 1  # stale graph: lazy re-encode ahead
-        counters.engines_patched += patched
-        counters.engines_dropped += dropped
-        counters.plans_retained = len(self.plan_cache)
-        elapsed = time.perf_counter() - started
-        counters.delta_apply_seconds += elapsed
-        counters.last_delta_seconds = elapsed
-
-        if self._views:
-            self._refresh_views(
-                {relation.name: (before, relation.physical_count)},
-                delta_ok=graph_fresh,
-            )
-        maybe_fire("delta.apply.after_apply")
-        return relation.physical_count - before
-
-    # ------------------------------------------------------------------
-    # deletes and updates (tombstone deltas)
-    # ------------------------------------------------------------------
     def delete_rows(
         self,
         relation_name: str,
@@ -720,9 +575,9 @@ class Database:
         *tombstoned* (physical positions never shift), the matching tuple
         vertices leave the TAG graph with shared attribute vertices freed
         by refcount, statistics fold the removal exactly, engines patch
-        through their ``apply_delete`` hook, and delta-maintained views
-        are counting-maintained by telescoped delete terms run against
-        the pre-delete graph.  Compiled plans survive — cache keys depend
+        through their ``apply`` hook, and delta-maintained views are
+        counting-maintained by telescoped delete terms run against the
+        pre-delete graph.  Compiled plans survive — cache keys depend
         only on the schema version, which a delete never moves.
 
         On a durable database the deleted row *values* are WAL-logged
@@ -750,32 +605,12 @@ class Database:
         original application instead of deleting twice.
         """
         relation = self.catalog.relation(relation_name)  # raise before locking
-        with self._rw_lock.write_locked(), self._lock:
-            self._check_open()
-            durability = self._durability
-            if durability is not None:
-                already = durability.applied(request_id)
-                if already is not None:
-                    return {
-                        "deleted": 0,
-                        "deduplicated": True,
-                        "lsn": durability.wal.last_lsn,
-                        "first_applied": already,
-                    }
-            positions, victim_rows = self._resolve_delete_targets(
-                relation, predicate_or_rows
-            )
-            if not positions:
-                self.maintenance.empty_loads_ignored += 1
-                return {"deleted": 0, "deduplicated": False, "lsn": None}
-            lsn = None
-            if durability is not None:
-                lsn = durability.log_delete_rows(relation_name, victim_rows, request_id)
-            deleted = self._apply_delete_delta(relation, positions)
-            if durability is not None:
-                durability.note_applied(request_id, deleted)
-                durability.maybe_snapshot(self)
-            return {"deleted": deleted, "deduplicated": False, "lsn": lsn}
+        return self._commit(
+            "delete",
+            relation,
+            request_id,
+            lambda: self._victims(relation, predicate_or_rows),
+        )
 
     def update_rows(
         self,
@@ -784,8 +619,8 @@ class Database:
         updater_or_rows: Union[Any, Iterable[Sequence[Any]]],
         request_id: Optional[str] = None,
     ) -> int:
-        """Update rows as delete + insert in one critical section; returns
-        the number of rows replaced.
+        """Update rows as one delete + insert delta; returns the number of
+        rows replaced.
 
         ``predicate_or_rows`` selects the victims exactly as in
         :meth:`delete_rows`.  ``updater_or_rows`` produces the
@@ -813,65 +648,35 @@ class Database:
         """:meth:`update_rows` returning a full receipt.
 
         Returns ``{"deleted", "inserted", "deduplicated", "lsn"}``.  Both
-        halves ride one WAL record under one ``request_id``, so the
-        update is durable and idempotent *atomically*: recovery replays
-        delete-then-insert together or (on dedup) neither, and no crash
-        window can split them.  Both halves also apply inside one writer
-        critical section — no reader ever observes the delete without
-        the insert.
+        halves are one delta: one WAL record under one ``request_id``
+        (recovery replays delete-then-insert together or, on dedup,
+        neither), one catalog version bump, one patch per engine and one
+        rollback — no reader and no failure ever observes the delete
+        without the insert.
         """
         relation = self.catalog.relation(relation_name)  # raise before locking
-        with self._rw_lock.write_locked(), self._lock:
-            self._check_open()
-            durability = self._durability
-            if durability is not None:
-                already = durability.applied(request_id)
-                if already is not None:
-                    return {
-                        "deleted": 0,
-                        "inserted": 0,
-                        "deduplicated": True,
-                        "lsn": durability.wal.last_lsn,
-                        "first_applied": already,
-                    }
-            positions, victim_rows = self._resolve_delete_targets(
-                relation, predicate_or_rows
-            )
-            replacements = self._replacement_rows(relation, victim_rows, updater_or_rows)
-            if not positions and not replacements:
-                self.maintenance.empty_loads_ignored += 1
-                return {"deleted": 0, "inserted": 0, "deduplicated": False, "lsn": None}
-            validated = relation.validate_rows(replacements) if replacements else []
-            lsn = None
-            if durability is not None:
-                lsn = durability.log_update_rows(
-                    relation_name, victim_rows, validated, request_id
-                )
-            deleted = self._apply_delete_delta(relation, positions) if positions else 0
-            inserted = (
-                self._apply_load_delta(relation, validated, validated_rows=True)
-                if validated
-                else 0
-            )
-            if durability is not None:
-                durability.note_applied(request_id, deleted + inserted)
-                durability.maybe_snapshot(self)
-            return {
-                "deleted": deleted,
-                "inserted": inserted,
-                "deduplicated": False,
-                "lsn": lsn,
-            }
 
-    def _resolve_delete_targets(
+        def resolve() -> Dict[str, Any]:
+            victims = self._victims(relation, predicate_or_rows)
+            replacements = self._replacement_rows(
+                relation, victims["deleted"], updater_or_rows
+            )
+            return {**victims, "inserted": relation.validate_rows(replacements)}
+
+        return self._commit("update", relation, request_id, resolve)
+
+    def _victims(
         self, relation: Any, predicate_or_rows: Union[Any, Iterable[Sequence[Any]]]
-    ) -> Tuple[List[int], List[Sequence[Any]]]:
+    ) -> Dict[str, Any]:
         """Victim physical positions + their row values, pre-deletion."""
         if callable(predicate_or_rows):
             positions = relation.find_positions(predicate_or_rows)
         else:
             positions = relation.match_positions(predicate_or_rows)
-        return positions, [relation[position] for position in positions]
+        return {
+            "positions": positions,
+            "deleted": [relation[position] for position in positions],
+        }
 
     def _replacement_rows(
         self,
@@ -899,147 +704,208 @@ class Database:
             replacements.append(produced)
         return replacements
 
-    def _apply_delete_delta(self, relation: Any, positions: List[int]) -> int:
-        """Tombstone ``positions`` and patch graph/statistics/engines/views.
+    def _commit(
+        self,
+        kind: str,
+        relation: Any,
+        request_id: Optional[str],
+        resolve: Callable[[], Dict[str, Any]],
+    ) -> Dict[str, Any]:
+        """The one durable write sequence behind every row mutation.
 
-        Caller holds the write lock and ``_lock``.  Mirrors
-        :meth:`_apply_load_delta`, including the rollback contract: a
-        failure mid-apply restores the tombstoned rows and retires every
-        derived structure so a retry applies exactly once against a
-        clean rebuild.
+        Under the writer lock: a retried ``request_id`` is acknowledged
+        against its original application; otherwise ``resolve()`` turns
+        the request into the fields of a :class:`Delta` (victims are
+        found, replacement rows validated), and the delta is logged,
+        applied, its id noted and a snapshot maybe taken.  Ordering on
+        the durable path is log-then-apply: rows are validated first (a
+        record that cannot replay must never be logged), framed + fsync'd
+        into the WAL, and only then applied.  An acknowledged write is
+        therefore always recoverable, and an unacknowledged one either
+        never hit the WAL (the retry applies it once) or hit it without
+        the ack (recovery replays it and the retry dedups).
+
+        Returns the receipt of ``kind``: its row counts (see
+        :func:`_receipt_counts`), ``deduplicated`` and ``lsn``, plus
+        ``first_applied`` on a dedup hit.
         """
+        with self._rw_lock.write_locked(), self._lock:
+            self._check_open()
+            durability = self._durability
+            if durability is not None:
+                already = durability.applied(request_id)
+                if already is not None:
+                    return {
+                        **_receipt_counts(kind, 0, 0),
+                        "deduplicated": True,
+                        "lsn": durability.wal.last_lsn,
+                        "first_applied": already,
+                    }
+            delta = Delta(kind, relation, **resolve())
+            if delta.empty:
+                self.maintenance.empty_loads_ignored += 1
+                return {**_receipt_counts(kind, 0, 0), "deduplicated": False, "lsn": None}
+            lsn = None
+            if durability is not None:
+                lsn = durability.log_delta(delta, request_id)
+            self._apply(delta)
+            if durability is not None:
+                durability.note_applied(request_id, delta.rows_changed)
+                durability.maybe_snapshot(self)
+            return {
+                **_receipt_counts(kind, len(delta.deleted), len(delta.inserted)),
+                "deduplicated": False,
+                "lsn": lsn,
+            }
+
+    def _apply(self, delta: Delta) -> None:
+        """Apply ``delta`` to the relation and every derived structure.
+
+        Caller holds the write lock and ``_lock``.  In order: tombstone
+        the Δ⁻ positions, counting-maintain delta views against the
+        pre-delete graph, drop Δ⁻'s tuple vertices, extend the relation
+        by Δ⁺, append Δ⁺'s tuple vertices, fold the statistics, patch
+        each cached engine once, run the views' Δ⁺ terms (or rebuild
+        them), count.  Freshness is checked *before* the catalog version
+        bumps (once per delta): a resource already stale from an earlier
+        out-of-band change is left for its usual lazy rebuild rather
+        than patched on top of missing history.
+
+        The one rollback: a failure anywhere after the tombstones land
+        (fault injection, an engine hook blowing up) truncates the
+        appended rows, restores the tombstoned positions and retires
+        every derived structure, so a retry of the same logical write
+        applies exactly once against a clean rebuild.
+        """
+        from ..incremental.views import refresh_view_delete, refresh_view_delta
+
         started = time.perf_counter()
-        catalog = self.catalog
+        relation, catalog, counters = delta.relation, self.catalog, self.maintenance
         version_before = catalog.version
+        # physical, not live: tuple vertex indexes, index positions and
+        # rollback truncation all live in physical-position space, which
+        # tombstones never compact
+        start = relation.physical_count
         # validates every position before mutating anything, so a raise
         # from here leaves nothing to roll back
-        deleted_rows = relation.delete_positions(positions)
+        relation.delete_positions(delta.positions)
         try:
-            return self._apply_delete_delta_inner(
-                relation, positions, deleted_rows, catalog, version_before, started
+            graph_fresh = self._graph is not None and self._graph_version == version_before
+            stats_fresh = (
+                self._statistics is not None
+                and self._statistics.catalog_version == version_before
             )
-        except BaseException:
-            relation.restore_positions(positions)
             catalog.note_data_change()
-            for engine in self._engines.values():
-                retire = getattr(engine, "retire", None)
-                if callable(retire):
-                    retire(f"delete from {relation.name!r} rolled back mid-apply")
-            self._engines.clear()
-            self._engine_versions.clear()
-            self.maintenance.full_rebuilds += 1
-            self.maintenance.plans_retained = len(self.plan_cache)
-            for view in self._views.values():
-                self._rebuild_view(view)
-                self.maintenance.views_recomputed += 1
+            affected_views = [
+                view
+                for view in self._views.values()
+                if relation.name in {table.table for table in view.spec.tables}
+            ]
+
+            if delta.positions:
+                maybe_fire("delta_delete.before_graph_patch")
+            if delta.positions and graph_fresh:
+                # counting view maintenance MUST see the pre-delete graph:
+                # the telescoped delete terms join the deleted tuples
+                # against state that still contains them
+                dead = {relation.name: {position + 1 for position in delta.positions}}
+                for view in affected_views:
+                    if view.mode == "delta":
+                        view_started = time.perf_counter()
+                        refresh_view_delete(view, self._graph, catalog, dead)
+                        counters.views_delete_refreshed += 1
+                        counters.view_refresh_seconds += time.perf_counter() - view_started
+                apply_graph_delete(self._graph, relation.schema, delta.positions)
+
+            relation.extend(delta.inserted, validated=True)
+            if delta.inserted:
+                maybe_fire("delta.apply.before_graph_patch")
+            if graph_fresh:
+                apply_graph_delta(self._graph, relation.schema, delta.inserted)
+                self._graph_version = catalog.version
+            if stats_fresh:
+                self._statistics.apply_delta(catalog, delta)
+
+            patched = dropped = 0
+            for name, engine in list(self._engines.items()):
+                hook = getattr(engine, "apply", None)
+                engine_current = self._engine_versions.get(name) == version_before
+                # engines holding the shared graph (the TAG family) are only
+                # patchable when that graph was just patched too; catalog-
+                # backed engines (rdbms, spark) are graph-independent
+                graph_ok = graph_fresh or getattr(engine, "graph", None) is None
+                if callable(hook) and engine_current and graph_ok:
+                    hook(relation.name, delta, catalog.version)
+                    self._engine_versions[name] = catalog.version
+                    patched += 1
+                else:
+                    # no hook (or the graph itself needs a rebuild): drop the
+                    # executor for a lazy rebuild — but do NOT retire it, so a
+                    # session mid-query drains against a consistent snapshot
+                    self._engines.pop(name)
+                    self._engine_versions.pop(name, None)
+                    dropped += 1
+
+            counters.rows_deleted += len(delta.deleted)
+            counters.rows_applied += len(delta.inserted)
+            if graph_fresh:
+                counters.delete_deltas_applied += bool(delta.positions)
+                counters.deltas_applied += bool(delta.inserted)
+            else:
+                counters.full_rebuilds += 1  # stale graph: lazy re-encode ahead
+            counters.engines_patched += patched
+            counters.engines_dropped += dropped
+            counters.plans_retained = len(self.plan_cache)
+            elapsed = time.perf_counter() - started
+            counters.delta_apply_seconds += elapsed
+            counters.last_delta_seconds = elapsed
+
+            # recompute-mode views go AFTER the graph patch: their engine
+            # run must not trigger a stale-graph full re-encode mid-write.
+            # With a stale graph the delta terms had no history to join
+            # against, so every affected view rebuilds here instead.
+            window = {relation.name: (start, relation.physical_count)}
+            for view in affected_views:
+                delta_view = view.mode == "delta" and graph_fresh
+                if delta_view and not delta.inserted:
+                    continue  # Δ⁺ is empty: the delete terms did all the work
+                view_started = time.perf_counter()
+                if delta_view:
+                    refresh_view_delta(view, self._graph, catalog, window)
+                    counters.views_refreshed += 1
+                else:
+                    self._rebuild_view(view)
+                    counters.views_recomputed += 1
+                counters.view_refresh_seconds += time.perf_counter() - view_started
+            if delta.positions:
+                maybe_fire("delta_delete.after_apply")
+            if delta.inserted:
+                maybe_fire("delta.apply.after_apply")
+        except BaseException:
+            relation.truncate(start)
+            relation.restore_positions(delta.positions)
+            self._retire_all(f"write to {relation.name!r} rolled back mid-apply")
             raise
 
-    def _apply_delete_delta_inner(
-        self,
-        relation: Any,
-        positions: List[int],
-        deleted_rows: List[Sequence[Any]],
-        catalog: Any,
-        version_before: int,
-        started: float,
-    ) -> int:
-        from ..incremental.delta import apply_graph_delete, rows_as_value_dicts
-        from ..relational.types import value_size_bytes
-
-        graph_fresh = self._graph is not None and self._graph_version == version_before
-        stats_fresh = (
-            self._statistics is not None
-            and self._statistics.catalog_version == version_before
+    def _retire_all(self, cause: str) -> None:
+        """Scorched earth: bump the catalog version, retire every cached
+        engine and rebuild every view from scratch (caller holds locks)."""
+        self.catalog.note_data_change()
+        reason = (
+            f"{cause}; catalog {self.catalog.name!r} re-encoded at version "
+            f"{self.catalog.version}"
         )
-        catalog.note_data_change()
-
-        maybe_fire("delta_delete.before_graph_patch")
-        affected_views = [
-            view
-            for view in self._views.values()
-            if relation.name in {table.table for table in view.spec.tables}
-        ]
-        delta_views = [view for view in affected_views if view.mode == "delta"]
-        if graph_fresh and delta_views:
-            # counting view maintenance MUST see the pre-delete graph:
-            # the telescoped delete terms join the deleted tuples against
-            # state that still contains them
-            self._refresh_views_delete(relation.name, positions, delta_views)
-        if graph_fresh:
-            apply_graph_delete(self._graph, relation.schema, positions)
-            self._graph_version = catalog.version
-        if stats_fresh:
-            schema = relation.schema
-            removed_bytes = sum(
-                value_size_bytes(value, column.dtype)
-                for row in deleted_rows
-                for value, column in zip(row, schema.columns)
-            )
-            self._statistics.apply_removal(
-                catalog,
-                relation.name,
-                rows_as_value_dicts(schema, deleted_rows),
-                removed_bytes=removed_bytes,
-            )
-
-        patched = dropped = 0
-        for name, engine in list(self._engines.items()):
-            hook = getattr(engine, "apply_delete", None)
-            engine_current = self._engine_versions.get(name) == version_before
-            graph_ok = graph_fresh or getattr(engine, "graph", None) is None
-            if callable(hook) and engine_current and graph_ok:
-                hook(relation.name, positions, deleted_rows, catalog.version)
-                self._engine_versions[name] = catalog.version
-                patched += 1
-            else:
-                self._engines.pop(name)
-                self._engine_versions.pop(name, None)
-                dropped += 1
-
-        counters = self.maintenance
-        counters.rows_deleted += len(deleted_rows)
-        if graph_fresh:
-            counters.delete_deltas_applied += 1
-        else:
-            counters.full_rebuilds += 1  # stale graph: lazy re-encode ahead
-        counters.engines_patched += patched
-        counters.engines_dropped += dropped
-        counters.plans_retained = len(self.plan_cache)
-        elapsed = time.perf_counter() - started
-        counters.delta_apply_seconds += elapsed
-        counters.last_delta_seconds = elapsed
-
-        # recompute-mode views go AFTER the graph patch: their engine run
-        # must not trigger a stale-graph full re-encode mid-delete.  With a
-        # stale graph the delete terms had no history to join against, so
-        # every affected view rebuilds here instead.
-        rebuild = [
-            view
-            for view in affected_views
-            if view.mode != "delta" or not graph_fresh
-        ]
-        for view in rebuild:
-            view_started = time.perf_counter()
+        for engine in self._engines.values():
+            retire = getattr(engine, "retire", None)
+            if callable(retire):
+                retire(reason)
+        self._engines.clear()
+        self._engine_versions.clear()
+        self.maintenance.full_rebuilds += 1
+        self.maintenance.plans_retained = len(self.plan_cache)
+        for view in self._views.values():
             self._rebuild_view(view)
             self.maintenance.views_recomputed += 1
-            self.maintenance.view_refresh_seconds += (
-                time.perf_counter() - view_started
-            )
-        maybe_fire("delta_delete.after_apply")
-        return len(deleted_rows)
-
-    def _refresh_views_delete(
-        self, relation_name: str, positions: List[int], delta_views: List[Any]
-    ) -> None:
-        """Counting-maintain views for a delete (pre-graph-patch; locks held)."""
-        from ..incremental.views import refresh_view_delete
-
-        deleted = {relation_name: {position + 1 for position in positions}}
-        for view in delta_views:
-            started = time.perf_counter()
-            refresh_view_delete(view, self._graph, self.catalog, deleted)
-            self.maintenance.views_delete_refreshed += 1
-            self.maintenance.view_refresh_seconds += time.perf_counter() - started
 
     def note_data_change(self) -> None:
         """Record an *out-of-band* data mutation: bump the catalog version so
@@ -1059,21 +925,7 @@ class Database:
         Materialized views are recomputed from scratch on the spot.
         """
         with self._rw_lock.write_locked(), self._lock:
-            self.catalog.note_data_change()
-            for engine in self._engines.values():
-                retire = getattr(engine, "retire", None)
-                if callable(retire):
-                    retire(
-                        f"catalog {self.catalog.name!r} re-encoded at version "
-                        f"{self.catalog.version}"
-                    )
-            self._engines.clear()
-            self._engine_versions.clear()
-            self.maintenance.full_rebuilds += 1
-            self.maintenance.plans_retained = len(self.plan_cache)
-            for view in self._views.values():
-                self._rebuild_view(view)
-                self.maintenance.views_recomputed += 1
+            self._retire_all("out-of-band data change")
             if self._durability is not None:
                 # out-of-band mutations bypassed the WAL; the only way to
                 # make them durable is to capture the rows wholesale now
@@ -1148,30 +1000,6 @@ class Database:
             for table in view.spec.tables
         }
         view.recompute_count += 1
-
-    def _refresh_views(
-        self, changed: Dict[str, Tuple[int, int]], delta_ok: bool = True
-    ) -> None:
-        """Maintain every registered view after a write (caller holds locks).
-
-        ``delta_ok=False`` forces recomputation — used when the graph was
-        already stale before the write, so windowed delta runs against it
-        would miss history.
-        """
-        from ..incremental.views import refresh_view_delta
-
-        for view in self._views.values():
-            tables = {table.table for table in view.spec.tables}
-            if not tables & set(changed):
-                continue  # none of its base tables moved
-            started = time.perf_counter()
-            if view.mode == "delta" and delta_ok:
-                refresh_view_delta(view, self._graph, self.catalog, changed)
-                self.maintenance.views_refreshed += 1
-            else:
-                self._rebuild_view(view)
-                self.maintenance.views_recomputed += 1
-            self.maintenance.view_refresh_seconds += time.perf_counter() - started
 
     def _rebuild_view(self, view: Any) -> None:
         """Rebuild a view from scratch, preserving its storage semantics.
@@ -1262,6 +1090,15 @@ class Database:
             f"Database({self.catalog.name!r}, default_engine={self.default_engine!r}, "
             f"{len(self.catalog)} relations)"
         )
+
+
+def _receipt_counts(kind: str, deleted: int, inserted: int) -> Dict[str, int]:
+    """The row-count fields of a ``kind`` write's public receipt."""
+    if kind == "load":
+        return {"appended": inserted}
+    if kind == "delete":
+        return {"deleted": deleted}
+    return {"deleted": deleted, "inserted": inserted}
 
 
 # ----------------------------------------------------------------------

@@ -55,10 +55,10 @@ FAILPOINTS = (
     "snapshot.after_rename",
     # WAL compaction (prefix drop after a successful snapshot)
     "wal.compact.before_swap",
-    # delta application inside Database.load_rows
+    # Database._apply of a delta that appends rows (load_rows, update_rows)
     "delta.apply.before_graph_patch",
     "delta.apply.after_apply",
-    # tombstone-delete application inside Database.delete_rows/update_rows
+    # Database._apply of a delta that tombstones rows (delete_rows, update_rows)
     "delta_delete.before_graph_patch",
     "delta_delete.after_apply",
     # recovery itself (crash-during-recovery must also recover)

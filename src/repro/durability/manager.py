@@ -37,7 +37,7 @@ from __future__ import annotations
 import os
 import time
 from collections import OrderedDict
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, Optional
 
 from ..core.wire import decode_row, iter_encoded_rows
 from .failpoints import maybe_fire
@@ -56,6 +56,15 @@ PLAN_MANIFEST_FILENAME = "plan_manifest.json"
 #: remembers for dedup.  Retries older than the window re-apply; the
 #: client contract (serve/client.py) retries within seconds, not days.
 APPLIED_IDS_LIMIT = 8192
+
+
+#: WAL record types that carry row deltas, each with the record fields
+#: holding its (deleted, inserted) rows; None = that half is always empty
+ROW_RECORD_FIELDS = {
+    "load": (None, "rows"),
+    "delete": ("rows", None),
+    "update": ("deleted", "inserted"),
+}
 
 
 class DurabilityError(RuntimeError):
@@ -128,75 +137,23 @@ class DurabilityManager:
     # ------------------------------------------------------------------
     # logging (call BEFORE applying, under the writer lock)
     # ------------------------------------------------------------------
-    def log_load_rows(
-        self,
-        relation_name: str,
-        rows: Sequence[Sequence[Any]],
-        request_id: Optional[str] = None,
-    ) -> int:
-        """Durably log one ``load_rows`` delta; returns its LSN.
+    def log_delta(self, delta: Any, request_id: Optional[str] = None) -> int:
+        """Durably log one row delta as a single record; returns its LSN.
 
-        ``rows`` must already be schema-validated/coerced (the caller runs
-        ``Relation.validate_rows`` first) so a logged record can never
-        fail to replay.
+        The inserted rows must already be schema-validated/coerced (the
+        caller runs ``Relation.validate_rows`` first) so a logged record
+        can never fail to replay.  Deleted rows are carried *by value*,
+        not by position: snapshot compaction rewrites relations from live
+        rows only, so physical positions do not survive a snapshot
+        boundary while row values do.  One record, one request id: an
+        update's delete and insert halves replay together or (when
+        deduplicated) not at all, so no crash can split them.
         """
-        record: Dict[str, Any] = {
-            "type": "load",
-            "relation": relation_name,
-            "rows": iter_encoded_rows(rows),
-        }
-        if request_id is not None:
-            record["request_id"] = request_id
-        lsn = self.wal.append(record)
-        self.counters["wal_appends"] += 1
-        self.records_since_snapshot += 1
-        return lsn
-
-    def log_delete_rows(
-        self,
-        relation_name: str,
-        rows: Sequence[Sequence[Any]],
-        request_id: Optional[str] = None,
-    ) -> int:
-        """Durably log one tombstone delete; returns its LSN.
-
-        The record carries the deleted rows *by value*, not by position:
-        snapshot compaction rewrites relations from live rows only, so
-        physical positions do not survive a snapshot boundary while row
-        values do.  Replay removes the first live row matching each value
-        (bag semantics) — deterministic because WAL order is total.
-        """
-        record: Dict[str, Any] = {
-            "type": "delete",
-            "relation": relation_name,
-            "rows": iter_encoded_rows(rows),
-        }
-        if request_id is not None:
-            record["request_id"] = request_id
-        lsn = self.wal.append(record)
-        self.counters["wal_appends"] += 1
-        self.records_since_snapshot += 1
-        return lsn
-
-    def log_update_rows(
-        self,
-        relation_name: str,
-        deleted_rows: Sequence[Sequence[Any]],
-        inserted_rows: Sequence[Sequence[Any]],
-        request_id: Optional[str] = None,
-    ) -> int:
-        """Durably log one update (delete + insert) as a single record.
-
-        One record, one request id: the update replays atomically —
-        recovery either applies both halves or (when deduplicated)
-        neither, so a crash between the two halves cannot split them.
-        """
-        record: Dict[str, Any] = {
-            "type": "update",
-            "relation": relation_name,
-            "deleted": iter_encoded_rows(deleted_rows),
-            "inserted": iter_encoded_rows(inserted_rows),
-        }
+        record: Dict[str, Any] = {"type": delta.kind, "relation": delta.relation.name}
+        halves = (delta.deleted, delta.inserted)
+        for field, rows in zip(ROW_RECORD_FIELDS[delta.kind], halves):
+            if field is not None:
+                record[field] = iter_encoded_rows(rows)
         if request_id is not None:
             record["request_id"] = request_id
         lsn = self.wal.append(record)
@@ -273,7 +230,7 @@ class DurabilityManager:
         Order matters: the dictionary is re-interned first so string
         codes come out deterministic across restarts, relation rows are
         *replaced* (never appended — a pre-populated catalog must not
-        double-count), the WAL suffix replays raw row appends, the
+        double-count), the WAL suffix replays its row deltas, the
         catalog version bumps exactly once, and views re-materialize
         last against the now-final data (view contents are a pure
         function of the data, so re-running their SQL is the recovery).
@@ -326,7 +283,7 @@ class DurabilityManager:
         maybe_fire("recovery.before_replay")
         for record in self.wal.records(after_lsn=self.snapshot_lsn):
             kind = record.get("type")
-            if kind == "load":
+            if kind in ROW_RECORD_FIELDS:
                 request_id = record.get("request_id")
                 if request_id is not None and request_id in self.applied_request_ids:
                     # a retry re-logged a write whose first attempt was
@@ -335,38 +292,17 @@ class DurabilityManager:
                     self.counters["replay_dedup_skips"] += 1
                 else:
                     relation = catalog.relation(record["relation"])
-                    rows = [decode_row(row) for row in record.get("rows", [])]
-                    relation.extend(rows)
-                    self.note_applied(request_id, len(rows))
-                    report["rows_replayed"] += len(rows)
-                    touched = True
-            elif kind == "delete":
-                request_id = record.get("request_id")
-                if request_id is not None and request_id in self.applied_request_ids:
-                    self.counters["replay_dedup_skips"] += 1
-                else:
-                    relation = catalog.relation(record["relation"])
-                    rows = [decode_row(row) for row in record.get("rows", [])]
-                    # delete by value, first live match per row (bag
-                    # semantics): positions don't survive snapshot
-                    # compaction, but WAL order is total so the match is
-                    # deterministic
-                    relation.delete_positions(relation.match_positions(rows))
-                    self.note_applied(request_id, len(rows))
-                    report["rows_replayed"] += len(rows)
-                    touched = True
-            elif kind == "update":
-                request_id = record.get("request_id")
-                if request_id is not None and request_id in self.applied_request_ids:
-                    self.counters["replay_dedup_skips"] += 1
-                else:
-                    relation = catalog.relation(record["relation"])
-                    deleted = [decode_row(row) for row in record.get("deleted", [])]
-                    inserted = [decode_row(row) for row in record.get("inserted", [])]
+                    deleted, inserted = (
+                        [decode_row(row) for row in record.get(field, [])] if field else []
+                        for field in ROW_RECORD_FIELDS[kind]
+                    )
                     if deleted:
+                        # delete by value, first live match per row (bag
+                        # semantics): positions don't survive snapshot
+                        # compaction, but WAL order is total so the match
+                        # is deterministic
                         relation.delete_positions(relation.match_positions(deleted))
-                    if inserted:
-                        relation.extend(inserted)
+                    relation.extend(inserted)
                     self.note_applied(request_id, len(deleted) + len(inserted))
                     report["rows_replayed"] += len(deleted) + len(inserted)
                     touched = True

@@ -1,13 +1,14 @@
 """The append-only, checksummed, torn-tail-tolerant write-ahead log.
 
 Every mutating operation of a durable :class:`~repro.api.Database` —
-``load_rows`` deltas, view registrations and drops — is framed, CRC'd and
-(by default) fsync'd here *before* it touches any in-memory state.  The
-record granularity deliberately matches the seminaïve delta machinery:
-one WAL record is one ``load_rows`` delta, which is exactly the unit
-:func:`repro.incremental.delta.apply_graph_delta` can replay, so recovery
-is "load the latest snapshot, re-run the delta suffix" with no special
-redo interpreter.
+row deltas (``load_rows`` appends, ``delete_rows`` tombstones and
+``update_rows`` delete+insert pairs), view registrations and drops — is
+framed, CRC'd and (by default) fsync'd here *before* it touches any
+in-memory state.  The record granularity deliberately matches the delta
+machinery: one WAL record is one :class:`repro.incremental.delta.Delta`
+(a ``load``, ``delete`` or ``update`` record, deleted rows carried by
+value), so recovery is "load the latest snapshot, re-run the delta
+suffix" with no special redo interpreter.
 
 Frame format (all integers big-endian)::
 

@@ -156,52 +156,28 @@ class IndexCatalog:
     def sorted_index(self, relation_name: str, column: str) -> Optional[SortedIndex]:
         return self.sorted_indexes.get((relation_name, column))
 
-    def apply_delta(
-        self, relation: Relation, rows: List[Any], start_position: int
-    ) -> int:
-        """Index ``rows`` appended to ``relation`` starting at ``start_position``.
+    def apply(self, relation: Relation, delta: Any) -> int:
+        """Patch ``relation``'s indexes for a delta the relation already applied.
 
-        Touches only this relation's indexes; returns how many index
-        structures were patched.  Row positions continue the relation's
-        0-based numbering, matching what the full build would assign.
+        Drops exactly the (value, position) pairs the tombstoned rows
+        contributed — surviving positions never move, so nothing else
+        needs rewriting — then indexes the appended rows, whose positions
+        continue the relation's physical numbering exactly as the full
+        build would assign them.  Touches only this relation's indexes;
+        returns how many index structures were patched.
         """
         schema = relation.schema
-        patched = 0
-        for (relation_name, column), index in self.hash_indexes.items():
-            if relation_name != relation.name:
-                continue
-            position = schema.position(column)
-            for offset, row in enumerate(rows):
-                index.add_row(row[position], start_position + offset)
-            patched += 1
-        for (relation_name, column), index in self.sorted_indexes.items():
-            if relation_name != relation.name:
-                continue
-            position = schema.position(column)
-            for offset, row in enumerate(rows):
-                index.add_row(row[position], start_position + offset)
-            patched += 1
-        return patched
-
-    def apply_delete(
-        self, relation: Relation, rows: List[Any], positions: List[int]
-    ) -> int:
-        """Drop index entries for ``rows`` deleted at physical ``positions``.
-
-        The deletion mirror of :meth:`apply_delta`: touches only this
-        relation's indexes, removes exactly the (value, position) pairs
-        the deleted rows contributed — surviving positions never move,
-        so nothing else needs rewriting.  Returns structures patched.
-        """
-        schema = relation.schema
+        start = relation.physical_count - len(delta.inserted)
         patched = 0
         for index_map in (self.hash_indexes, self.sorted_indexes):
             for (relation_name, column), index in index_map.items():
                 if relation_name != relation.name:
                     continue
                 column_position = schema.position(column)
-                for row, row_position in zip(rows, positions):
+                for row, row_position in zip(delta.deleted, delta.positions):
                     index.remove_row(row[column_position], row_position)
+                for offset, row in enumerate(delta.inserted):
+                    index.add_row(row[column_position], start + offset)
                 patched += 1
         return patched
 

@@ -5,10 +5,11 @@ threw away the TAG encoding, the statistics, every compiled plan, and every
 executor — a serving system taking writes recompiled the world per insert.
 This package replaces that with delta maintenance end to end:
 
-* :mod:`~repro.incremental.delta` — append new tuple/attribute vertices to
-  the existing :class:`~repro.tag.encoder.TagGraph` in place (the paper's
-  Section 3 observation that attribute vertices are cheaper to maintain
-  than RDBMS indexes: inserts are local edge changes);
+* :mod:`~repro.incremental.delta` — the signed :class:`Delta` every row
+  mutation becomes, and its in-place application to the existing
+  :class:`~repro.tag.encoder.TagGraph` (the paper's Section 3
+  observation that attribute vertices are cheaper to maintain than RDBMS
+  indexes: inserts and deletes are local edge changes);
 * :mod:`~repro.incremental.sketch` — mergeable k-minimum-values NDV
   sketches so :class:`~repro.tag.statistics.CatalogStatistics` stays fresh
   under appends without rescanning;
@@ -32,7 +33,7 @@ _EXPORTS = {
     "KMVSketch": "sketch",
     "ReadWriteLock": "locks",
     "MaintenanceCounters": "maintenance",
-    "DeltaReport": "delta",
+    "Delta": "delta",
     "apply_graph_delta": "delta",
     "MaterializedView": "views",
     "ViewError": "views",

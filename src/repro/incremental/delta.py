@@ -1,12 +1,16 @@
-"""In-place TAG graph delta application.
+"""Signed row deltas and their in-place TAG graph application.
 
 The paper's Section 3 argues attribute vertices are cheaper to maintain
 than RDBMS indexes: inserting a tuple is one new tuple vertex plus local
 edge changes (attribute vertices are created only for genuinely new
-values).  This module is that argument made executable — it appends a
-batch of already-coerced rows to an existing :class:`TagGraph`, keeping
-the graph byte-for-byte consistent with what a from-scratch
-:class:`~repro.tag.encoder.TagEncoder` re-encode of the grown catalog
+values), and deleting one drops its vertex and edges.  Every row
+mutation of a :class:`~repro.api.Database` — ``load_rows``,
+``delete_rows`` and ``update_rows`` alike — is one :class:`Delta`: the
+Δ⁻ half (tombstoned positions and their row values) and the Δ⁺ half
+(validated rows appended after it).  The functions here apply either
+half to an existing :class:`TagGraph`, keeping the graph byte-for-byte
+consistent with what a from-scratch
+:class:`~repro.tag.encoder.TagEncoder` re-encode of the changed catalog
 would have produced (the differential harness's interleaved-write suite
 holds it to that), while also keeping the graph's
 :class:`~repro.tag.encoder.LoadReport` accounting truthful.
@@ -21,40 +25,42 @@ literals) and tuple payloads are stored encoded.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Any, Dict, List, Sequence
+from dataclasses import dataclass, field
+from typing import Any, List, Sequence
 
 from ..relational.schema import Schema
 from ..tag.encoder import TagGraph
 
-__all__ = ["DeltaReport", "DeleteReport", "apply_graph_delta", "apply_graph_delete"]
+__all__ = ["Delta", "apply_graph_delta", "apply_graph_delete"]
 
 
 @dataclass
-class DeltaReport:
-    """What one delta application did to the graph."""
+class Delta:
+    """One signed mutation of one relation: Δ⁻ (tombstones) then Δ⁺ (appends).
 
-    relation: str
-    rows_applied: int
-    start_index: int  # 1-based index of the first appended tuple vertex
-    new_attribute_vertices: int
-    new_edges: int
-    seconds: float
+    ``kind`` is the WAL record type the delta logs as (``"load"``,
+    ``"delete"`` or ``"update"``).  ``positions`` are the victims'
+    physical positions and ``deleted`` their row values, resolved before
+    the write; ``inserted`` are schema-validated rows appended after the
+    delete half.
+    """
 
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "relation": self.relation,
-            "rows_applied": self.rows_applied,
-            "start_index": self.start_index,
-            "new_attribute_vertices": self.new_attribute_vertices,
-            "new_edges": self.new_edges,
-            "seconds": round(self.seconds, 6),
-        }
+    kind: str
+    relation: Any
+    positions: List[int] = field(default_factory=list)
+    deleted: List[Sequence[Any]] = field(default_factory=list)
+    inserted: List[Sequence[Any]] = field(default_factory=list)
+
+    @property
+    def empty(self) -> bool:
+        return not self.positions and not self.inserted
+
+    @property
+    def rows_changed(self) -> int:
+        return len(self.deleted) + len(self.inserted)
 
 
-def apply_graph_delta(
-    graph: TagGraph, schema: Schema, rows: Sequence[Sequence[Any]]
-) -> DeltaReport:
+def apply_graph_delta(graph: TagGraph, schema: Schema, rows: Sequence[Sequence[Any]]) -> None:
     """Append ``rows`` of relation ``schema.name`` to ``graph`` in place.
 
     ``rows`` must already be schema-coerced (i.e. taken from the
@@ -65,52 +71,13 @@ def apply_graph_delta(
     and rebuild paths by construction.
     """
     started = time.perf_counter()
-    edges_before = graph.edge_count
-    attributes_before = len(graph._attribute_ids)
-    start_index = graph._tuple_counters.get(schema.name, 0) + 1
-
     column_names = schema.column_names
-    applied = 0
     for row in rows:
         graph.append_tuple(schema, dict(zip(column_names, row)))
-        applied += 1
-
-    elapsed = time.perf_counter() - started
-    graph.load_report.seconds += elapsed
-
-    return DeltaReport(
-        relation=schema.name,
-        rows_applied=applied,
-        start_index=start_index,
-        new_attribute_vertices=len(graph._attribute_ids) - attributes_before,
-        new_edges=graph.edge_count - edges_before,
-        seconds=elapsed,
-    )
+    graph.load_report.seconds += time.perf_counter() - started
 
 
-@dataclass
-class DeleteReport:
-    """What one tombstone-delete application did to the graph."""
-
-    relation: str
-    rows_deleted: int
-    freed_attribute_vertices: int
-    removed_edges: int
-    seconds: float
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "relation": self.relation,
-            "rows_deleted": self.rows_deleted,
-            "freed_attribute_vertices": self.freed_attribute_vertices,
-            "removed_edges": self.removed_edges,
-            "seconds": round(self.seconds, 6),
-        }
-
-
-def apply_graph_delete(
-    graph: TagGraph, schema: Schema, positions: Sequence[int]
-) -> DeleteReport:
+def apply_graph_delete(graph: TagGraph, schema: Schema, positions: Sequence[int]) -> None:
     """Drop the tuple vertices at the given physical row positions in place.
 
     The delete-shaped mirror of :func:`apply_graph_delta`: each position's
@@ -121,24 +88,5 @@ def apply_graph_delete(
     equivalent to a from-scratch re-encode of the shrunk catalog.
     """
     started = time.perf_counter()
-    edges_before = graph.edge_count
-    attributes_before = len(graph._attribute_ids)
-
     graph.delete_relation_tuples(schema, positions)
-
-    elapsed = time.perf_counter() - started
-    graph.load_report.seconds += elapsed
-
-    return DeleteReport(
-        relation=schema.name,
-        rows_deleted=len(positions),
-        freed_attribute_vertices=attributes_before - len(graph._attribute_ids),
-        removed_edges=edges_before - graph.edge_count,
-        seconds=elapsed,
-    )
-
-
-def rows_as_value_dicts(schema: Schema, rows: Sequence[Sequence[Any]]) -> List[Dict[str, Any]]:
-    """Positional rows -> ``column -> value`` dicts (statistics delta input)."""
-    names = schema.column_names
-    return [dict(zip(names, row)) for row in rows]
+    graph.load_report.seconds += time.perf_counter() - started

@@ -19,22 +19,25 @@ __all__ = ["MaintenanceCounters"]
 class MaintenanceCounters:
     #: total rows appended through the delta path
     rows_applied: int = 0
-    #: load_rows calls that patched state in place
+    #: deltas with appended rows (load_rows, update_rows) patched in place
     deltas_applied: int = 0
     #: total rows tombstoned through the delete-delta path
     rows_deleted: int = 0
-    #: delete_rows/update_rows calls that patched state in place
+    #: deltas with tombstoned rows (delete_rows, update_rows) patched in place
     delete_deltas_applied: int = 0
     #: materialized views maintained by a counting delete re-run
     views_delete_refreshed: int = 0
-    #: load_rows / note_data_change events that fell back to a full rebuild
+    #: deltas, rollbacks and note_data_change events that fell back to a
+    #: full rebuild
     full_rebuilds: int = 0
     #: compiled plan fragments alive in the cache at the end of each delta
     #: (cumulative: what scorched-earth invalidation would have recompiled)
     plans_retained: int = 0
-    #: executors patched via their apply_delta hook instead of being retired
+    #: executors patched via their apply(delta) hook instead of being
+    #: retired (once per engine per delta, an update included)
     engines_patched: int = 0
-    #: executors dropped because they had no apply_delta hook
+    #: executors dropped for a lazy rebuild: no apply hook, or the
+    #: executor or its TAG graph was already stale before the delta
     engines_dropped: int = 0
     #: materialized views maintained by a seminaïve delta re-run
     views_refreshed: int = 0

@@ -607,37 +607,7 @@ class QueryServer:
 
         engine = self._resolve_engine(frame, database)
 
-        if op == "load_rows":
-            relation = frame.get("relation")
-            rows = frame.get("rows")
-            if not isinstance(relation, str):
-                raise ProtocolError("invalid_request", "load_rows needs a string 'relation'")
-            if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
-                raise ProtocolError("invalid_request", "load_rows needs 'rows' as a list of arrays")
-            if relation not in database.catalog:
-                raise ProtocolError(
-                    "invalid_request", f"tenant {tenant!r} has no relation {relation!r}"
-                )
-
-            write_id = frame.get("request_id")
-
-            def work_write() -> Dict[str, Any]:
-                decoded = [decode_row(row) for row in rows]
-                receipt = database.apply_write(relation, decoded, request_id=write_id)
-                if receipt["deduplicated"]:
-                    with self._stats_lock:
-                        self.stats.deduplicated_writes += 1
-                elif receipt["appended"] and self.result_cache is not None:
-                    self.result_cache.invalidate_tenant(tenant)
-                return {
-                    **receipt,
-                    "relation": relation,
-                    "catalog_version": database.catalog.version,
-                }
-
-            return _Admitted(request_id, work_write, respond, deadline, is_write=True)
-
-        if op in ("delete_rows", "update_rows"):
+        if op in ("load_rows", "delete_rows", "update_rows"):
             relation = frame.get("relation")
             rows = frame.get("rows")
             if not isinstance(relation, str):
@@ -662,22 +632,22 @@ class QueryServer:
             write_id = frame.get("request_id")
 
             def work_mutate(_op: str = op, _updates: Any = updates) -> Dict[str, Any]:
-                victims = [decode_row(row) for row in rows]
-                if _op == "delete_rows":
-                    receipt = database.apply_delete(
-                        relation, victims, request_id=write_id
-                    )
-                    applied = receipt["deleted"]
+                decoded = [decode_row(row) for row in rows]
+                if _op == "load_rows":
+                    receipt = database.apply_write(relation, decoded, request_id=write_id)
+                elif _op == "delete_rows":
+                    receipt = database.apply_delete(relation, decoded, request_id=write_id)
                 else:
                     replacements = [decode_row(row) for row in _updates]
                     receipt = database.apply_update(
-                        relation, victims, replacements, request_id=write_id
+                        relation, decoded, replacements, request_id=write_id
                     )
-                    applied = receipt["deleted"] + receipt["inserted"]
                 if receipt["deduplicated"]:
                     with self._stats_lock:
                         self.stats.deduplicated_writes += 1
-                elif applied and self.result_cache is not None:
+                elif self.result_cache is not None and any(
+                    receipt.get(key) for key in ("appended", "deleted", "inserted")
+                ):
                     self.result_cache.invalidate_tenant(tenant)
                 return {
                     **receipt,

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 
 from ..algebra.expressions import (
     And,
@@ -35,8 +35,12 @@ from ..algebra.parameters import ParameterRef
 from ..incremental.sketch import KMVSketch
 from ..relational.catalog import Catalog
 from ..relational.relation import Relation
-from ..relational.types import NULL
+from ..relational.schema import Schema
+from ..relational.types import NULL, value_size_bytes
 from .encoder import TagGraph, edge_label
+
+if TYPE_CHECKING:
+    from ..incremental.delta import Delta
 
 
 @dataclass
@@ -326,54 +330,36 @@ class CatalogStatistics:
     # ------------------------------------------------------------------
     # incremental maintenance
     # ------------------------------------------------------------------
-    def apply_delta(
-        self,
-        catalog: Catalog,
-        relation_name: str,
-        rows: Sequence[Dict[str, Any]],
-        added_bytes: int = 0,
-    ) -> None:
-        """Fold appended ``rows`` (as column->value dicts) in, in place.
+    def apply_delta(self, catalog: Catalog, delta: "Delta") -> None:
+        """Fold one signed row delta in, in place, without a rescan.
 
-        Updates the one relation's statistics via its sketches and stamps
-        the catalog's *current* version, so a following
-        :func:`refreshed_statistics` call short-circuits instead of
-        rescanning.  Because the cost-based planners hold a reference to
-        this object, their cost inputs are fresh the moment this returns.
+        The appended rows fold first: exact cardinality, null-count and
+        byte increases, NDV through each column's KMV sketch.  The
+        tombstoned rows fold second: exact decreases, NDV re-read from the
+        live relation, sketch drift tracked (and rebuilt past the
+        threshold) — so this must run *after* the relation has applied
+        the delta, since it reads live-only state back.  Then the
+        catalog's current version is stamped, so a following
+        :func:`refreshed_statistics` call short-circuits and the planners
+        holding a reference see fresh cost inputs the moment this returns.
         """
-        stats = self.relations.get(relation_name)
+        relation = delta.relation
+        stats = self.relations.get(relation.name)
         if stats is None:
-            self.relations[relation_name] = RelationStatistics.of(
-                catalog.relation(relation_name)
-            )
+            stats = RelationStatistics.of(relation)
         else:
-            self.relations[relation_name] = stats.with_delta(rows, added_bytes)
-        self.catalog_version = catalog.version
-
-    def apply_removal(
-        self,
-        catalog: Catalog,
-        relation_name: str,
-        removed_rows: Sequence[Dict[str, Any]],
-        removed_bytes: int = 0,
-    ) -> None:
-        """Fold deleted ``removed_rows`` out, in place (tombstone path).
-
-        The deletion mirror of :meth:`apply_delta`: exact cardinality,
-        null-count and byte decreases, NDV re-read from the live relation,
-        sketch drift tracked (and rebuilt past the threshold) — then the
-        catalog's current version is stamped so the planners keep their
-        reference without a rescan.  Must run *after* the relation has
-        tombstoned the rows, since it reads live-only state back.
-        """
-        stats = self.relations.get(relation_name)
-        relation = catalog.relation(relation_name)
-        if stats is None:
-            self.relations[relation_name] = RelationStatistics.of(relation)
-        else:
-            self.relations[relation_name] = stats.with_removals(
-                relation, removed_rows, removed_bytes
-            )
+            schema = relation.schema
+            if delta.inserted:
+                stats = stats.with_delta(
+                    _value_dicts(schema, delta.inserted), _rows_bytes(schema, delta.inserted)
+                )
+            if delta.deleted:
+                stats = stats.with_removals(
+                    relation,
+                    _value_dicts(schema, delta.deleted),
+                    _rows_bytes(schema, delta.deleted),
+                )
+        self.relations[relation.name] = stats
         self.catalog_version = catalog.version
 
     # ------------------------------------------------------------------
@@ -481,6 +467,20 @@ def refreshed_statistics(
     if cached is None or cached.catalog_version != catalog.version:
         return CatalogStatistics.collect(catalog)
     return cached
+
+
+def _value_dicts(schema: Schema, rows: Sequence[Sequence[Any]]) -> List[Dict[str, Any]]:
+    """Positional rows -> ``column -> value`` dicts (the sketches' input)."""
+    names = schema.column_names
+    return [dict(zip(names, row)) for row in rows]
+
+
+def _rows_bytes(schema: Schema, rows: Sequence[Sequence[Any]]) -> int:
+    return sum(
+        value_size_bytes(value, column.dtype)
+        for row in rows
+        for value, column in zip(row, schema.columns)
+    )
 
 
 def _single_column(expression: Expression) -> Optional[str]:

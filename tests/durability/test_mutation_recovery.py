@@ -7,6 +7,8 @@ data, in-process and across restart.  An update is one WAL record, so
 recovery can never observe the delete half without the insert half.
 """
 
+import contextlib
+
 import pytest
 
 from repro.api import Database
@@ -130,35 +132,76 @@ class TestMutationIdempotency:
         recovered.close()
 
 
+@contextlib.contextmanager
+def failing_counter(field):
+    """Make every assignment to ``MaintenanceCounters.<field>`` raise: a
+    failure late in the apply path, after the WAL record landed and the
+    relation changed, which the rollback must undo."""
+    from repro.incremental import maintenance as maintenance_module
+
+    counters = maintenance_module.MaintenanceCounters
+    original = counters.__dict__.get("__setattr__")
+
+    def sabotage(self, name, value):
+        if name == field:
+            raise RuntimeError("injected delta failure")
+        object.__setattr__(self, name, value)
+
+    counters.__setattr__ = sabotage
+    try:
+        yield
+    finally:
+        if original is not None:
+            counters.__setattr__ = original
+        else:
+            del counters.__setattr__
+
+
 class TestDeleteRollback:
     def test_failed_delete_restores_rows_and_recovers(self, tmp_path):
         data_dir = str(tmp_path / "d")
         db = Database(make_mini_catalog(), data_dir=data_dir)
         before = golden(db)
 
-        from repro.incremental import maintenance as maintenance_module
-
-        # sabotage the delta path after the WAL record lands and the rows
-        # are tombstoned: the rollback must resurrect them
-        original = maintenance_module.MaintenanceCounters.__dict__.get("__setattr__")
-        boom = RuntimeError("injected delta failure")
-
-        def sabotage(self, name, value):
-            if name == "rows_deleted":
-                raise boom
-            object.__setattr__(self, name, value)
-
-        maintenance_module.MaintenanceCounters.__setattr__ = sabotage
-        try:
-            with pytest.raises(RuntimeError):
-                db.delete_rows("ORDERS", lambda row: row[0] == 100)
-        finally:
-            if original is not None:
-                maintenance_module.MaintenanceCounters.__setattr__ = original
-            else:
-                del maintenance_module.MaintenanceCounters.__setattr__
+        # the rows are tombstoned before the failure: the rollback must
+        # resurrect them
+        with failing_counter("rows_deleted"), pytest.raises(RuntimeError):
+            db.delete_rows("ORDERS", lambda row: row[0] == 100)
 
         # the rows came back and every engine still answers
         assert golden(db) == before
         assert db.maintenance.full_rebuilds >= 1
+        db.close()
+
+    def test_failed_update_rolls_back_both_halves(self, tmp_path):
+        data_dir = str(tmp_path / "d")
+        db = Database(make_mini_catalog(), data_dir=data_dir)
+        before = golden(db)
+
+        def update():
+            return db.apply_update(
+                "ORDERS", lambda row: row[0] == 100, {"O_TOTAL": 999.0}, request_id="up-7"
+            )
+
+        # fail after the victim is tombstoned and the replacement appended
+        with failing_counter("rows_applied"), pytest.raises(RuntimeError):
+            update()
+        # neither half survives in memory: order 100 is back, unchanged
+        assert golden(db) == before
+
+        retry = update()
+        assert retry["deduplicated"] is False
+        assert (retry["deleted"], retry["inserted"]) == (1, 1)
+        after = golden(db)
+        assert [row for row in after if row[0] == 100] == [(100, 10, 999.0, "HIGH")]
+        assert len(after) == len(before)
+        assert update()["deduplicated"] is True
+        assert golden(db) == after
+
+        # the WAL holds the failed attempt and the retry under one id:
+        # recovery applies the update once, like the live database
+        db._durability.wal.sync()
+        recovered = Database(make_mini_catalog(), data_dir=data_dir)
+        assert golden(recovered) == after
+        recovered.close()
         db.close()

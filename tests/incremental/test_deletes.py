@@ -3,7 +3,7 @@
 The deletion mirror of ``test_delta_ingest``: after ``Database.delete_rows``
 / ``update_rows`` the patched TAG graph must match a from-scratch re-encode
 of the surviving rows, statistics must fold the removal exactly, engines
-must keep answering correctly through their ``apply_delete`` hooks, plans
+must keep answering correctly through their ``apply`` hooks, plans
 must survive with zero recompilation, and maintained views must equal cold
 re-execution — including under self-joins, where the telescoped delete
 terms must not over-delete.
@@ -291,6 +291,22 @@ class TestUpdateSemantics:
         assert db.delete_rows("ORDERS", lambda row: False) == 0
         assert db.catalog.version == version
         assert db.maintenance.empty_loads_ignored == ignored + 1
+
+    def test_update_is_one_delta(self):
+        db = Database(make_mini_catalog())
+        for name in ENGINES:
+            db.engine(name)  # cache every engine, so each one is patched
+        engines = len(db.cache_stats()["engines"])
+        version = db.catalog.version
+        patched = db.maintenance.engines_patched
+        receipt = db.apply_update(
+            "ORDERS", lambda row: row[0] == 100, {"O_TOTAL": 7.0}
+        )
+        assert (receipt["deleted"], receipt["inserted"]) == (1, 1)
+        # one delta: one version bump and one patch per cached engine
+        assert db.catalog.version == version + 1
+        assert db.maintenance.engines_patched == patched + engines
+        assert db.maintenance.engines_dropped == 0
 
 
 class TestViewMaintenanceUnderDelete:
